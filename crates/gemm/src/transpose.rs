@@ -11,22 +11,48 @@ use crate::parallel::gemm;
 use crate::pool::Par;
 use crate::scalar::Scalar;
 
-/// Cache-blocked transposition: `dst = srcᵀ`.
+/// Side of the tile moved by [`transpose_tile`]: 16 `f32` are one 64-byte
+/// cache line, so a tile reads whole source lines and writes whole
+/// destination lines. Smaller tiles write half lines, and a source or
+/// destination with a power-of-two row stride maps all of a tile's rows
+/// to one L1 set, which evicts a half-written line before its other half
+/// arrives (an 8×8 tile measured 1.6–2× slower at 1024×1024).
+const TILE: usize = 16;
+
+/// Cache-tiled transposition: `dst = srcᵀ`. Full tiles go through a local
+/// buffer (contiguous row reads, contiguous row writes); the ragged rim
+/// is copied element by element.
 pub fn transpose_into<T: Scalar>(src: MatRef<'_, T>, mut dst: MatMut<'_, T>) {
     let (r, c) = (src.rows(), src.cols());
     assert_eq!(dst.rows(), c, "transpose shape mismatch");
     assert_eq!(dst.cols(), r, "transpose shape mismatch");
-    const B: usize = 32;
-    for i0 in (0..r).step_by(B) {
-        let imax = (i0 + B).min(r);
-        for j0 in (0..c).step_by(B) {
-            let jmax = (j0 + B).min(c);
-            for i in i0..imax {
-                let row = src.row(i);
-                for (j, &v) in row.iter().enumerate().take(jmax).skip(j0) {
-                    dst.set(j, i, v);
+    for i in (0..r).step_by(TILE) {
+        for j in (0..c).step_by(TILE) {
+            if i + TILE <= r && j + TILE <= c {
+                transpose_tile(&src, &mut dst, i, j);
+            } else {
+                for ii in i..(i + TILE).min(r) {
+                    let row = &src.row(ii)[j..(j + TILE).min(c)];
+                    for (jj, &v) in (j..).zip(row) {
+                        dst.row_mut(jj)[ii] = v;
+                    }
                 }
             }
+        }
+    }
+}
+
+/// `dst[j..j+TILE][i..i+TILE] = src[i..i+TILE][j..j+TILE]ᵀ`.
+#[inline(always)]
+fn transpose_tile<T: Scalar>(src: &MatRef<'_, T>, dst: &mut MatMut<'_, T>, i: usize, j: usize) {
+    let mut tile = [[T::ZERO; TILE]; TILE];
+    for (a, row) in tile.iter_mut().enumerate() {
+        row.copy_from_slice(&src.row(i + a)[j..j + TILE]);
+    }
+    for b in 0..TILE {
+        let out = &mut dst.row_mut(j + b)[i..i + TILE];
+        for (o, row) in out.iter_mut().zip(&tile) {
+            *o = row[b];
         }
     }
 }

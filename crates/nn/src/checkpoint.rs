@@ -33,7 +33,6 @@
 
 use crate::backend::GuardedBackend;
 use crate::data::Dataset;
-use crate::loss::{accuracy, softmax_cross_entropy};
 use crate::net::{EpochStats, Mlp, SHUFFLE_SALT};
 use crate::optimizer::Optimizer;
 use apa_gemm::Mat;
@@ -858,11 +857,7 @@ impl CheckpointedTrainer {
                 let bi = self.next_batch as usize;
                 let (x, labels) = data.gather(&order[bi * bs..(bi + 1) * bs]);
                 let t0 = std::time::Instant::now();
-                let logits = self.net.forward(&x);
-                let (loss, grad) = softmax_cross_entropy(&logits, &labels);
-                let acc = accuracy(&logits, &labels);
-                self.net.backward_only(&grad);
-                self.opt.step(&mut self.net);
+                let (loss, acc) = self.net.train_batch_with(&x, &labels, &mut self.opt);
                 self.progress.seconds += t0.elapsed().as_secs_f64();
                 self.progress.loss_sum += loss as f64;
                 self.progress.correct_sum += acc;

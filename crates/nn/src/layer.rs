@@ -7,10 +7,18 @@
 //! The three matmuls (`X·W`, `Xᵀ·dZ`, `dZ·Wᵀ`) all route through the
 //! layer's backend — exactly the multiplications the paper replaces with
 //! APA operators in both propagation directions (§4.2).
+//!
+//! A layer owns every buffer its training step writes: the activation
+//! `A` (the next layer's input), the transposed operands `Xᵀ` and `Wᵀ`,
+//! and the gradients `dW` / `db`. [`crate::net::Mlp`] drives the
+//! buffer-level entry points directly, so at a fixed batch size its
+//! training step allocates nothing outside the backends; the owned-`Mat`
+//! [`Dense::forward`] / [`Dense::backward`] are thin adapters over the
+//! same kernels that allocate only the matrices they return.
 
 use crate::backend::Backend;
-use crate::tensor::{add_bias_rows, axpy, col_sums, relu_backward_inplace};
-use apa_gemm::{transpose_into, Mat, MatRef};
+use crate::tensor::col_sums_into;
+use apa_gemm::{combine_axpy, transpose_into, Mat, MatRef};
 
 /// Activation applied after the affine map.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -20,7 +28,7 @@ pub enum Activation {
     Identity,
 }
 
-/// A dense layer with cached forward state for backpropagation.
+/// A dense layer with the buffers of its training step.
 pub struct Dense {
     /// `in × out` weights.
     pub w: Mat<f32>,
@@ -28,19 +36,46 @@ pub struct Dense {
     pub b: Vec<f32>,
     pub activation: Activation,
     backend: Backend,
-    // Cached from the last forward pass (buffers are reused across steps
-    // at a fixed batch size, so steady-state training doesn't reallocate
-    // them):
-    input: Option<Mat<f32>>,
-    pre_activation: Option<Mat<f32>>,
-    // Backward-pass scratch, likewise reused across steps: dZ plus the
-    // materialized Xᵀ/Wᵀ operands of the gradient multiplications.
-    dz_buf: Mat<f32>,
-    xt_buf: Mat<f32>,
-    wt_buf: Mat<f32>,
-    // Last computed gradients:
+    /// `act(X·W + b)` of the last training forward pass. It is the next
+    /// layer's input, and `act <= 0` is the ReLU mask of the backward pass.
+    pub(crate) act: Mat<f32>,
+    /// `Xᵀ` of the last training forward pass: the left operand of
+    /// `dW = Xᵀ·dZ`, so the backward pass needs no reference to `X`.
+    xt: Mat<f32>,
+    /// `Wᵀ`, the right operand of `dX = dZ·Wᵀ`.
+    wt: Mat<f32>,
+    /// Gradients of the last backward pass, until an update consumes them.
     pub grad_w: Option<Mat<f32>>,
     pub grad_b: Option<Vec<f32>>,
+    /// Storage of consumed gradients, refilled by the next backward pass.
+    spare_w: Mat<f32>,
+    spare_b: Vec<f32>,
+}
+
+/// `Z[i][j] += b[j]`, then the activation, in one pass over `Z`.
+fn add_bias_and_activate(z: &mut Mat<f32>, b: &[f32], activation: Activation) {
+    assert_eq!(z.cols(), b.len());
+    if b.is_empty() {
+        return;
+    }
+    let rows = z.as_mut_slice().chunks_exact_mut(b.len());
+    match activation {
+        Activation::Relu => {
+            for row in rows {
+                for (v, &bias) in row.iter_mut().zip(b) {
+                    let s = *v + bias;
+                    *v = if s < 0.0 { 0.0 } else { s };
+                }
+            }
+        }
+        Activation::Identity => {
+            for row in rows {
+                for (v, &bias) in row.iter_mut().zip(b) {
+                    *v += bias;
+                }
+            }
+        }
+    }
 }
 
 impl Dense {
@@ -69,13 +104,13 @@ impl Dense {
             b: vec![0.0; outputs],
             activation,
             backend,
-            input: None,
-            pre_activation: None,
-            dz_buf: Mat::zeros(0, 0),
-            xt_buf: Mat::zeros(0, 0),
-            wt_buf: Mat::zeros(0, 0),
+            act: Mat::zeros(0, 0),
+            xt: Mat::zeros(0, 0),
+            wt: Mat::zeros(0, 0),
             grad_w: None,
             grad_b: None,
+            spare_w: Mat::zeros(0, 0),
+            spare_b: Vec::new(),
         }
     }
 
@@ -105,37 +140,74 @@ impl Dense {
         self.backend = backend;
     }
 
-    /// Forward pass; caches `X` and `Z` for the backward pass. The cached
-    /// buffers from the previous step are reused in place whenever the
-    /// shapes still fit.
-    pub fn forward(&mut self, x: &Mat<f32>) -> Mat<f32> {
+    /// Training forward from a borrowed input: `Xᵀ` into the layer's
+    /// transpose buffer and `act(X·W + b)` into its activation buffer,
+    /// both resized in place.
+    pub(crate) fn forward_buffered(&mut self, x: MatRef<'_, f32>) {
         assert_eq!(x.cols(), self.inputs(), "input width mismatch");
-        let mut z = self
-            .pre_activation
-            .take()
-            .unwrap_or_else(|| Mat::zeros(0, 0));
-        z.resize(x.rows(), self.outputs());
+        self.act.resize(x.rows(), self.outputs());
         self.backend
-            .matmul_into(x.as_ref(), self.w.as_ref(), z.as_mut());
-        add_bias_rows(&mut z, &self.b);
-        let a = match self.activation {
-            Activation::Relu => {
-                let mut a = z.clone();
-                for v in a.as_mut_slice() {
-                    if *v < 0.0 {
-                        *v = 0.0;
-                    }
-                }
-                a
+            .matmul_into(x, self.w.as_ref(), self.act.as_mut());
+        add_bias_and_activate(&mut self.act, &self.b, self.activation);
+        self.xt.resize(x.cols(), x.rows());
+        transpose_into(x, self.xt.as_mut());
+    }
+
+    /// Backward pass from `grad = dA`, which is turned into `dZ` in place.
+    /// Stores `dW = Xᵀ·dZ` and `db` in the layer's gradient buffers, then
+    /// writes `dX = dZ·Wᵀ` into `dx` when one is given (the first layer of
+    /// a network has no consumer for it). `dW` is issued before `dX`.
+    pub(crate) fn backward_buffered(&mut self, grad: &mut Mat<f32>, dx: Option<&mut Mat<f32>>) {
+        assert_eq!(
+            (grad.rows(), grad.cols()),
+            (self.act.rows(), self.act.cols()),
+            "backward() requires a prior forward() at the same batch size"
+        );
+        if self.activation == Activation::Relu {
+            // `act <= 0` zeroes exactly the entries `z <= 0` would: ReLU
+            // maps every `z <= 0` (−0.0 included) to a value `<= 0`, keeps
+            // each positive `z`, and passes NaN through, which both tests
+            // keep. A select rather than a branch: it vectorizes, and a
+            // branch on ReLU signs mispredicts about half the time.
+            for (g, &a) in grad.as_mut_slice().iter_mut().zip(self.act.as_slice()) {
+                *g = if a <= 0.0 { 0.0 } else { *g };
             }
-            Activation::Identity => z.clone(),
-        };
-        let mut xin = self.input.take().unwrap_or_else(|| Mat::zeros(0, 0));
-        xin.resize(x.rows(), x.cols());
-        xin.as_mut().copy_from(x.as_ref());
-        self.input = Some(xin);
-        self.pre_activation = Some(z);
-        a
+        }
+        let mut dw = self
+            .grad_w
+            .take()
+            .unwrap_or_else(|| std::mem::replace(&mut self.spare_w, Mat::zeros(0, 0)));
+        dw.resize(self.inputs(), self.outputs());
+        self.backend
+            .matmul_into(self.xt.as_ref(), grad.as_ref(), dw.as_mut());
+        let mut db = self
+            .grad_b
+            .take()
+            .unwrap_or_else(|| std::mem::take(&mut self.spare_b));
+        col_sums_into(grad.as_ref(), &mut db);
+        self.grad_w = Some(dw);
+        self.grad_b = Some(db);
+        if let Some(dx) = dx {
+            self.wt.resize(self.outputs(), self.inputs());
+            transpose_into(self.w.as_ref(), self.wt.as_mut());
+            dx.resize(grad.rows(), self.inputs());
+            self.backend
+                .matmul_into(grad.as_ref(), self.wt.as_ref(), dx.as_mut());
+        }
+    }
+
+    /// Hand consumed gradient buffers back to the layer, so the next
+    /// backward pass refills them instead of allocating.
+    pub(crate) fn recycle_grads(&mut self, grad_w: Mat<f32>, grad_b: Vec<f32>) {
+        self.spare_w = grad_w;
+        self.spare_b = grad_b;
+    }
+
+    /// Forward pass; keeps what the backward pass needs. Returns a copy of
+    /// the activations.
+    pub fn forward(&mut self, x: &Mat<f32>) -> Mat<f32> {
+        self.forward_buffered(x.as_ref());
+        self.act.clone()
     }
 
     /// Inference-only forward: no caching, no clone of the input.
@@ -154,14 +226,7 @@ impl Dense {
         assert_eq!(x.cols(), self.inputs(), "input width mismatch");
         out.resize(x.rows(), self.outputs());
         self.backend.matmul_into(x, self.w.as_ref(), out.as_mut());
-        add_bias_rows(out, &self.b);
-        if self.activation == Activation::Relu {
-            for v in out.as_mut_slice() {
-                if *v < 0.0 {
-                    *v = 0.0;
-                }
-            }
-        }
+        add_bias_and_activate(out, &self.b, self.activation);
     }
 
     /// Warm the backend for the inference shapes of the given batch sizes
@@ -177,56 +242,23 @@ impl Dense {
     /// Backward pass from `dA` (gradient w.r.t. this layer's output);
     /// stores `dW`/`db` and returns `dX`.
     pub fn backward(&mut self, grad_out: &Mat<f32>) -> Mat<f32> {
-        let Self {
-            w,
-            activation,
-            backend,
-            input,
-            pre_activation,
-            dz_buf,
-            xt_buf,
-            wt_buf,
-            grad_w,
-            grad_b,
-            ..
-        } = self;
-        let x = input
-            .as_ref()
-            .expect("backward() requires a prior forward()");
-        let z = pre_activation.as_ref().unwrap();
-        dz_buf.resize(grad_out.rows(), grad_out.cols());
-        dz_buf.as_mut().copy_from(grad_out.as_ref());
-        if *activation == Activation::Relu {
-            relu_backward_inplace(dz_buf, z);
-        }
-        // dW = Xᵀ·dZ, db = column sums, dX = dZ·Wᵀ — all through the
-        // layer's backend, exactly the gradient multiplications the paper
-        // replaces with APA operators. The transposes are materialized into
-        // the layer's reusable scratch so steady-state steps don't
-        // reallocate them (the backend's own intermediates are likewise
-        // reused via its workspace cache).
-        xt_buf.resize(x.cols(), x.rows());
-        transpose_into(x.as_ref(), xt_buf.as_mut());
-        let dw = backend.matmul(xt_buf.as_ref(), dz_buf.as_ref());
-        let db = col_sums(dz_buf.as_ref());
-        wt_buf.resize(w.cols(), w.rows());
-        transpose_into(w.as_ref(), wt_buf.as_mut());
-        let dx = backend.matmul(dz_buf.as_ref(), wt_buf.as_ref());
-        *grad_w = Some(dw);
-        *grad_b = Some(db);
+        let mut dz = grad_out.clone();
+        let mut dx = Mat::zeros(0, 0);
+        self.backward_buffered(&mut dz, Some(&mut dx));
         dx
     }
 
-    /// SGD step: `W ← W − lr·dW`, `b ← b − lr·db`.
+    /// SGD step: `W ← W − lr·dW` (fused multiply-add), `b ← b − lr·db`.
+    /// The consumed gradients' storage stays with the layer.
     pub fn apply_sgd(&mut self, lr: f32) {
-        if let Some(dw) = self.grad_w.take() {
-            axpy(-lr, &dw, &mut self.w);
+        let (Some(dw), Some(db)) = (self.grad_w.take(), self.grad_b.take()) else {
+            return;
+        };
+        combine_axpy(self.w.as_mut(), true, &[(-lr, dw.as_ref())]);
+        for (b, &g) in self.b.iter_mut().zip(&db) {
+            *b -= lr * g;
         }
-        if let Some(db) = self.grad_b.take() {
-            for (b, &g) in self.b.iter_mut().zip(&db) {
-                *b -= lr * g;
-            }
-        }
+        self.recycle_grads(dw, db);
     }
 }
 
@@ -316,6 +348,30 @@ mod tests {
         l.apply_sgd(0.1);
         assert!((l.w.at(0, 0) - (before - 0.1 * dw00)).abs() < 1e-6);
         assert!(l.grad_w.is_none(), "gradients consumed by the step");
+    }
+
+    #[test]
+    fn relu_mask_on_activations_matches_pre_activation_test() {
+        // The backward pass masks by `act <= 0`; it must zero exactly the
+        // entries a `z <= 0` test on the pre-activation zeroes, −0.0 and
+        // NaN included.
+        let z = [-1.0, -0.0, 0.0, 1e-40, 0.5, f32::NAN, f32::NEG_INFINITY];
+        let n = z.len();
+        let mut l = layer(1, n, Activation::Relu);
+        // Adding −0.0 leaves every value, −0.0 included, unchanged.
+        let mut act = Mat::from_vec(1, n, z.to_vec());
+        add_bias_and_activate(&mut act, &vec![-0.0; n], Activation::Relu);
+        l.act = act;
+        l.xt = Mat::from_vec(1, 1, vec![1.0]);
+        let mut grad = Mat::from_fn(1, n, |_, j| j as f32 + 2.0);
+        let want: Vec<u32> = z
+            .iter()
+            .zip(grad.as_slice())
+            .map(|(&z, &g)| if z <= 0.0 { 0.0f32 } else { g }.to_bits())
+            .collect();
+        l.backward_buffered(&mut grad, None);
+        let got: Vec<u32> = grad.as_slice().iter().map(|g| g.to_bits()).collect();
+        assert_eq!(got, want);
     }
 
     #[test]

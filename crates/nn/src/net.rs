@@ -5,7 +5,8 @@ use crate::backend::Backend;
 use crate::checkpoint::{CheckpointError, LayerState, TrainState};
 use crate::data::Dataset;
 use crate::layer::{Activation, Dense};
-use crate::loss::{accuracy, softmax_cross_entropy};
+use crate::loss::{accuracy, softmax_cross_entropy_into};
+use crate::optimizer::Optimizer;
 use apa_gemm::{Mat, MatRef};
 
 /// Base seed for the per-epoch shuffle: every epoch shuffles with
@@ -58,13 +59,30 @@ impl Default for InferenceScratch {
     }
 }
 
+/// The weight update that ends a training step.
+enum Update<'a> {
+    /// Plain SGD at this learning rate ([`Dense::apply_sgd`]).
+    Sgd(f32),
+    Optimizer(&'a mut Optimizer),
+}
+
 /// A feed-forward network of dense layers.
+///
+/// Every training entry point runs one path over buffers that persist
+/// across steps: each layer's forward pass reads the previous layer's
+/// activation buffer (or the caller's input) in place, the loss gradient
+/// goes into `grad_logits`, and the input gradients flow down the stack
+/// through the `grad_ping` / `grad_pong` pair. The first layer computes
+/// no input gradient, since nothing reads it.
 pub struct Mlp {
     pub layers: Vec<Dense>,
     /// Trusted backend for re-running a batch whose step went non-finite
     /// (see [`Self::with_fallback`]).
     fallback: Option<Backend>,
     degraded_batches: u64,
+    grad_logits: Mat<f32>,
+    grad_ping: Mat<f32>,
+    grad_pong: Mat<f32>,
 }
 
 impl Mlp {
@@ -95,10 +113,27 @@ impl Mlp {
                 )
             })
             .collect();
+        Self::from_layers(layers)
+    }
+
+    /// Wrap already-built layers (their weights, seeds and backends are
+    /// kept as they are). Consecutive widths must chain.
+    pub fn from_layers(layers: Vec<Dense>) -> Self {
+        assert!(!layers.is_empty(), "need at least one layer");
+        for pair in layers.windows(2) {
+            assert_eq!(
+                pair[0].outputs(),
+                pair[1].inputs(),
+                "layer widths must chain"
+            );
+        }
         Self {
             layers,
             fallback: None,
             degraded_batches: 0,
+            grad_logits: Mat::zeros(0, 0),
+            grad_ping: Mat::zeros(0, 0),
+            grad_pong: Mat::zeros(0, 0),
         }
     }
 
@@ -174,13 +209,34 @@ impl Mlp {
         w
     }
 
-    /// Training-mode forward through all layers (caches activations).
+    /// Training-mode forward through all layers; keeps what the backward
+    /// pass needs and returns a copy of the logits.
     pub fn forward(&mut self, x: &Mat<f32>) -> Mat<f32> {
-        let mut cur = x.clone();
-        for layer in &mut self.layers {
-            cur = layer.forward(&cur);
+        self.forward_pass(x.as_ref());
+        self.logits().clone()
+    }
+
+    /// Training forward: layer `l` reads layer `l − 1`'s activation buffer.
+    fn forward_pass(&mut self, x: MatRef<'_, f32>) {
+        let (first, rest) = self.layers.split_first_mut().expect("no layers");
+        first.forward_buffered(x);
+        let mut prev: &Dense = first;
+        for layer in rest {
+            layer.forward_buffered(prev.act.as_ref());
+            prev = layer;
         }
-        cur
+    }
+
+    /// Output of the last training forward pass.
+    fn logits(&self) -> &Mat<f32> {
+        &self.layers[self.layers.len() - 1].act
+    }
+
+    /// Loss of the last training forward pass; its gradient goes into
+    /// `grad_logits`.
+    fn loss(&mut self, labels: &[u8]) -> f32 {
+        let last = self.layers.len() - 1;
+        softmax_cross_entropy_into(&self.layers[last].act, labels, &mut self.grad_logits)
     }
 
     /// Inference-mode forward (no caches).
@@ -241,17 +297,45 @@ impl Mlp {
     /// Backpropagate from the loss gradient, leaving the gradients stored
     /// on each layer (for an external [`crate::optimizer::Optimizer`]).
     pub fn backward_only(&mut self, grad_logits: &Mat<f32>) {
-        let mut grad = grad_logits.clone();
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
-        }
+        self.grad_logits
+            .resize(grad_logits.rows(), grad_logits.cols());
+        self.grad_logits.as_mut().copy_from(grad_logits.as_ref());
+        self.backward_pass();
     }
 
     /// Backpropagate from the loss gradient and apply plain SGD.
     pub fn backward_and_step(&mut self, grad_logits: &Mat<f32>, lr: f32) {
         self.backward_only(grad_logits);
-        for layer in &mut self.layers {
-            layer.apply_sgd(lr);
+        self.apply(Update::Sgd(lr));
+    }
+
+    /// Backpropagate from `grad_logits`; layer `l` writes its `dX` into
+    /// the ping-pong buffer that layer `l − 1` reads as its `dA`.
+    fn backward_pass(&mut self) {
+        let Self {
+            layers,
+            grad_logits,
+            grad_ping,
+            grad_pong,
+            ..
+        } = self;
+        let last = layers.len() - 1;
+        layers[last].backward_buffered(grad_logits, (last > 0).then_some(&mut *grad_ping));
+        let (mut grad, mut dx) = (grad_ping, grad_pong);
+        for l in (0..last).rev() {
+            layers[l].backward_buffered(grad, (l > 0).then_some(&mut *dx));
+            std::mem::swap(&mut grad, &mut dx);
+        }
+    }
+
+    fn apply(&mut self, update: Update<'_>) {
+        match update {
+            Update::Sgd(lr) => {
+                for layer in &mut self.layers {
+                    layer.apply_sgd(lr);
+                }
+            }
+            Update::Optimizer(opt) => opt.step(self),
         }
     }
 
@@ -264,21 +348,35 @@ impl Mlp {
     /// batch on the fallback backend **before** any weight is touched, so
     /// the parameters never absorb a poisoned update.
     pub fn train_batch(&mut self, x: &Mat<f32>, labels: &[u8], lr: f32) -> (f32, f64) {
-        let logits = self.forward(x);
-        let (loss, grad) = softmax_cross_entropy(&logits, labels);
+        self.step(x, labels, Update::Sgd(lr))
+    }
+
+    /// [`Self::train_batch`] with the update made by `opt` instead of
+    /// plain SGD.
+    pub fn train_batch_with(
+        &mut self,
+        x: &Mat<f32>,
+        labels: &[u8],
+        opt: &mut Optimizer,
+    ) -> (f32, f64) {
+        self.step(x, labels, Update::Optimizer(opt))
+    }
+
+    fn step(&mut self, x: &Mat<f32>, labels: &[u8], update: Update<'_>) -> (f32, f64) {
+        self.forward_pass(x.as_ref());
+        let loss = self.loss(labels);
+        let logits = self.logits();
         if self.fallback.is_some()
-            && (!loss.is_finite() || !finite_mat(&logits) || !finite_mat(&grad))
+            && (!loss.is_finite() || !finite_mat(logits) || !finite_mat(&self.grad_logits))
         {
-            return self.redo_batch_on_fallback(x, labels, lr);
+            return self.redo_batch_on_fallback(x, labels, update);
         }
-        let acc = accuracy(&logits, labels);
-        self.backward_only(&grad);
+        let acc = accuracy(logits, labels);
+        self.backward_pass();
         if self.fallback.is_some() && !self.grads_finite() {
-            return self.redo_batch_on_fallback(x, labels, lr);
+            return self.redo_batch_on_fallback(x, labels, update);
         }
-        for layer in &mut self.layers {
-            layer.apply_sgd(lr);
-        }
+        self.apply(update);
         (loss, acc)
     }
 
@@ -294,16 +392,22 @@ impl Mlp {
     /// Discard the poisoned step and redo the whole batch — forward, loss
     /// and update — with every layer on the fallback backend, then restore
     /// the original backends.
-    fn redo_batch_on_fallback(&mut self, x: &Mat<f32>, labels: &[u8], lr: f32) -> (f32, f64) {
+    fn redo_batch_on_fallback(
+        &mut self,
+        x: &Mat<f32>,
+        labels: &[u8],
+        update: Update<'_>,
+    ) -> (f32, f64) {
         let fallback = self.fallback.clone().expect("fallback required");
         let originals: Vec<Backend> = self.layers.iter().map(|l| l.backend()).collect();
         for layer in &mut self.layers {
             layer.set_backend(fallback.clone());
         }
-        let logits = self.forward(x);
-        let (loss, grad) = softmax_cross_entropy(&logits, labels);
-        let acc = accuracy(&logits, labels);
-        self.backward_and_step(&grad, lr);
+        self.forward_pass(x.as_ref());
+        let loss = self.loss(labels);
+        let acc = accuracy(self.logits(), labels);
+        self.backward_pass();
+        self.apply(update);
         for (layer, backend) in self.layers.iter_mut().zip(originals) {
             layer.set_backend(backend);
         }
@@ -520,13 +624,33 @@ mod tests {
     }
 
     #[test]
+    fn first_layer_computes_no_input_gradient() {
+        // Three layers: 3 forward products, dW and dX for the upper two,
+        // and dW alone for the first.
+        let counter = std::sync::Arc::new(FaultyBackend {
+            inner: classical(1),
+            poison_call: u64::MAX,
+            calls: std::sync::atomic::AtomicU64::new(0),
+        });
+        let backend: Backend = counter.clone();
+        let mut net = Mlp::new(&[8, 16, 16, 2], vec![backend; 3], 7);
+        let data = toy_dataset(20);
+        let (x, labels) = data.gather(&(0..20).collect::<Vec<_>>());
+        net.train_batch(&x, &labels, 0.1);
+        let calls = counter.calls.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(calls, 3 + 2 + 2 + 1);
+    }
+
+    #[test]
     fn fallback_rerun_recovers_poisoned_batch_exactly() {
-        // Each batch issues 6 backend calls (2 forward, 4 backward), so
-        // call 7 poisons a *forward* product of batch 1 (caught by the
-        // non-finite loss check) and call 10 poisons a *weight gradient*
-        // of batch 1 (caught by the gradient check). Either way the batch
-        // must be re-run on the exact fallback before any weight update,
-        // leaving the trajectory bitwise identical to a fault-free run.
+        // Each batch issues 5 backend calls (2 forward, then dW and dX of
+        // the output layer and dW of the first layer, which computes no
+        // dX), so call 6 poisons a *forward* product of batch 1 (caught by
+        // the non-finite loss check) and call 9 poisons a *weight
+        // gradient* of batch 1 (caught by the gradient check). Either way
+        // the batch must be re-run on the exact fallback before any weight
+        // update, leaving the trajectory bitwise identical to a fault-free
+        // run.
         let data = toy_dataset(200);
         let mut clean = toy_mlp();
         for e in 0..5 {
@@ -535,7 +659,7 @@ mod tests {
         }
         let acc_clean = clean.evaluate(&data, 50);
 
-        for poison_call in [7u64, 10u64] {
+        for poison_call in [6u64, 9u64] {
             let faulty: Backend = std::sync::Arc::new(FaultyBackend {
                 inner: classical(1),
                 poison_call,

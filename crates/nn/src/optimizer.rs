@@ -82,7 +82,8 @@ impl Optimizer {
     }
 
     /// Consume the gradients stored by the last backward pass and update
-    /// the weights: `v ← μ·v + (g + wd·w)`, `w ← w − lr·v`.
+    /// the weights: `v ← μ·v + (g + wd·w)`, `w ← w − lr·v`. The gradient
+    /// buffers go back to their layer for the next backward pass.
     pub fn step(&mut self, net: &mut Mlp) {
         assert_eq!(net.layers.len(), self.vel_w.len(), "optimizer/net mismatch");
         for (li, layer) in net.layers.iter_mut().enumerate() {
@@ -106,6 +107,7 @@ impl Optimizer {
                 *v = mu * *v + g;
                 *b -= lr * *v;
             }
+            layer.recycle_grads(gw, gb);
         }
     }
 }

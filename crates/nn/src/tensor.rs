@@ -1,5 +1,5 @@
 //! Small dense-tensor helpers on top of `apa_gemm::Mat<f32>`:
-//! transposition, bias broadcast, column reductions, elementwise maps.
+//! transposition and column reductions.
 
 use apa_gemm::{Mat, MatRef};
 
@@ -10,57 +10,15 @@ pub fn transpose(a: MatRef<'_, f32>) -> Mat<f32> {
     apa_gemm::transpose(a)
 }
 
-/// `X[i][j] += bias[j]` for every row — the dense-layer bias broadcast.
-pub fn add_bias_rows(x: &mut Mat<f32>, bias: &[f32]) {
-    assert_eq!(x.cols(), bias.len());
-    let cols = x.cols();
-    for i in 0..x.rows() {
-        let row = &mut x.as_mut_slice()[i * cols..(i + 1) * cols];
-        for (v, &b) in row.iter_mut().zip(bias) {
-            *v += b;
-        }
-    }
-}
-
-/// Column sums — the bias gradient `db[j] = Σ_i dZ[i][j]`.
-pub fn col_sums(x: MatRef<'_, f32>) -> Vec<f32> {
-    let mut out = vec![0.0f32; x.cols()];
+/// Column sums into `out` (resized to `x.cols()`) — the bias gradient
+/// `db[j] = Σ_i dZ[i][j]`.
+pub fn col_sums_into(x: MatRef<'_, f32>, out: &mut Vec<f32>) {
+    out.clear();
+    out.resize(x.cols(), 0.0);
     for i in 0..x.rows() {
         for (o, &v) in out.iter_mut().zip(x.row(i)) {
             *o += v;
         }
-    }
-    out
-}
-
-/// In-place elementwise map.
-pub fn map_inplace(x: &mut Mat<f32>, f: impl Fn(f32) -> f32) {
-    for v in x.as_mut_slice() {
-        *v = f(*v);
-    }
-}
-
-/// `y ← y ⊙ mask(x)` where `mask` is 1 where `x > 0` — the ReLU backward.
-pub fn relu_backward_inplace(grad: &mut Mat<f32>, pre_activation: &Mat<f32>) {
-    assert_eq!(grad.rows(), pre_activation.rows());
-    assert_eq!(grad.cols(), pre_activation.cols());
-    for (g, &z) in grad
-        .as_mut_slice()
-        .iter_mut()
-        .zip(pre_activation.as_slice())
-    {
-        if z <= 0.0 {
-            *g = 0.0;
-        }
-    }
-}
-
-/// `y ← α·x + y` over whole matrices — the SGD update kernel.
-pub fn axpy(alpha: f32, x: &Mat<f32>, y: &mut Mat<f32>) {
-    assert_eq!(x.rows(), y.rows());
-    assert_eq!(x.cols(), y.cols());
-    for (yv, &xv) in y.as_mut_slice().iter_mut().zip(x.as_slice()) {
-        *yv = alpha.mul_add(xv, *yv);
     }
 }
 
@@ -90,34 +48,10 @@ mod tests {
     }
 
     #[test]
-    fn bias_broadcast() {
-        let mut x = Mat::zeros(3, 2);
-        add_bias_rows(&mut x, &[1.0, -2.0]);
-        for i in 0..3 {
-            assert_eq!(x.at(i, 0), 1.0);
-            assert_eq!(x.at(i, 1), -2.0);
-        }
-    }
-
-    #[test]
     fn column_sums() {
         let x = Mat::from_fn(4, 3, |i, _| i as f32);
-        assert_eq!(col_sums(x.as_ref()), vec![6.0, 6.0, 6.0]);
-    }
-
-    #[test]
-    fn relu_backward_masks_nonpositive() {
-        let z = Mat::from_vec(1, 4, vec![-1.0, 0.0, 0.5, 2.0]);
-        let mut g = Mat::from_vec(1, 4, vec![10.0, 10.0, 10.0, 10.0]);
-        relu_backward_inplace(&mut g, &z);
-        assert_eq!(g.as_slice(), &[0.0, 0.0, 10.0, 10.0]);
-    }
-
-    #[test]
-    fn axpy_updates() {
-        let x = Mat::from_vec(1, 3, vec![1.0, 2.0, 3.0]);
-        let mut y = Mat::from_vec(1, 3, vec![10.0, 10.0, 10.0]);
-        axpy(-0.5, &x, &mut y);
-        assert_eq!(y.as_slice(), &[9.5, 9.0, 8.5]);
+        let mut out = vec![9.0; 7];
+        col_sums_into(x.as_ref(), &mut out);
+        assert_eq!(out, vec![6.0, 6.0, 6.0]);
     }
 }

@@ -12,7 +12,7 @@
 
 use crate::backend::Backend;
 use crate::layer::{Activation, Dense};
-use crate::loss::softmax_cross_entropy;
+use crate::net::Mlp;
 use apa_gemm::Mat;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -24,7 +24,8 @@ pub const VGG_FC_WIDTHS: [usize; 4] = [25088, 4096, 4096, 1000];
 /// The three-layer VGG-19 classifier head with a single backend on all
 /// layers (the paper swaps the whole head between ⟨4,4,2⟩ and classical).
 pub struct Vgg19Fc {
-    pub fc: [Dense; 3],
+    /// The three dense layers, trained by [`Mlp::train_batch`].
+    pub net: Mlp,
     widths: [usize; 4],
     scale: usize,
 }
@@ -39,7 +40,7 @@ impl Vgg19Fc {
             VGG_FC_WIDTHS[2] / scale,
             VGG_FC_WIDTHS[3] / scale,
         ];
-        let fc = [
+        let fc = vec![
             Dense::new(
                 widths[0],
                 widths[1],
@@ -62,7 +63,11 @@ impl Vgg19Fc {
                 seed + 2,
             ),
         ];
-        Self { fc, widths, scale }
+        Self {
+            net: Mlp::from_layers(fc),
+            widths,
+            scale,
+        }
     }
 
     pub fn widths(&self) -> [usize; 4] {
@@ -93,24 +98,13 @@ impl Vgg19Fc {
     /// returns wall-clock seconds — the paper's per-batch metric.
     pub fn train_batch_timed(&mut self, x: &Mat<f32>, labels: &[u8], lr: f32) -> f64 {
         let t0 = Instant::now();
-        let a1 = self.fc[0].forward(x);
-        let a2 = self.fc[1].forward(&a1);
-        let logits = self.fc[2].forward(&a2);
-        let (_, grad) = softmax_cross_entropy(&logits, labels);
-        let g2 = self.fc[2].backward(&grad);
-        let g1 = self.fc[1].backward(&g2);
-        let _ = self.fc[0].backward(&g1);
-        for l in &mut self.fc {
-            l.apply_sgd(lr);
-        }
+        self.net.train_batch(x, labels, lr);
         t0.elapsed().as_secs_f64()
     }
 
     /// Inference-only forward (for correctness tests).
     pub fn predict(&self, x: &Mat<f32>) -> Mat<f32> {
-        let a1 = self.fc[0].forward_inference(x);
-        let a2 = self.fc[1].forward_inference(&a1);
-        self.fc[2].forward_inference(&a2)
+        self.net.predict(x)
     }
 }
 
@@ -142,6 +136,35 @@ mod tests {
         let labels = v.synthetic_labels(16, 3);
         let secs = v.train_batch_timed(&x, &labels, 0.01);
         assert!(secs > 0.0);
+    }
+
+    #[test]
+    fn training_step_matches_per_layer_loop() {
+        // The head trains through `Mlp::train_batch`; a loop over the same
+        // layers' adapters (which also computes the unused first `dX`)
+        // must leave bitwise the same weights.
+        let mut head = Vgg19Fc::new(classical(1), 64, 9);
+        let mut looped = Vgg19Fc::new(classical(1), 64, 9);
+        for step in 0..3 {
+            let x = head.synthetic_features(8, step);
+            let labels = head.synthetic_labels(8, step + 100);
+            head.train_batch_timed(&x, &labels, 0.01);
+            let mut cur = x.clone();
+            for layer in &mut looped.net.layers {
+                cur = layer.forward(&cur);
+            }
+            let (_, mut grad) = crate::loss::softmax_cross_entropy(&cur, &labels);
+            for layer in looped.net.layers.iter_mut().rev() {
+                grad = layer.backward(&grad);
+            }
+            for layer in &mut looped.net.layers {
+                layer.apply_sgd(0.01);
+            }
+        }
+        for (a, b) in head.net.layers.iter().zip(&looped.net.layers) {
+            assert_eq!(a.w, b.w);
+            assert_eq!(a.b, b.b);
+        }
     }
 
     #[test]

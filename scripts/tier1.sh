@@ -30,8 +30,14 @@
 #      drill), run natively AND again under APA_THREADS=2 APA_NO_PIN=1 —
 #      the oversubscribed, unpinned configuration every CI container
 #      sees must be just as correct as the pinned native one
-#   8. rustfmt check
-#   9. clippy with warnings promoted to errors
+#   8. the training-step gates, natively AND under
+#      APA_FORCE_SCALAR_KERNEL=1: a warm Mlp::train_batch allocates
+#      nothing on the calling thread (plain SGD, with a fallback, with an
+#      Optimizer), the buffered step is bitwise equal to a per-layer
+#      Dense adapter loop, and the tiled transpose is bitwise equal to a
+#      naive loop on ragged shapes and strided views
+#   9. rustfmt check
+#  10. clippy with warnings promoted to errors
 #
 # Usage: scripts/tier1.sh   (from anywhere inside the repo)
 
@@ -107,6 +113,14 @@ APA_THREADS=2 APA_NO_PIN=1 cargo test -q -p apa-planner
 
 echo "== tier1: cold-store vs warm-store determinism gate =="
 cargo test -q -p apa-planner --test store_integrity roundtrip_is_bitwise_and_file_is_deterministic
+
+echo "== tier1: training-step gates, native (zero-alloc step, bitwise-equal step, tiled transpose) =="
+cargo test -q -p apa-nn --test training_alloc --test training_equivalence
+cargo test -q -p apa-gemm --test transpose
+
+echo "== tier1: training-step gates, APA_FORCE_SCALAR_KERNEL=1 =="
+APA_FORCE_SCALAR_KERNEL=1 cargo test -q -p apa-nn --test training_alloc --test training_equivalence
+APA_FORCE_SCALAR_KERNEL=1 cargo test -q -p apa-gemm --test transpose
 
 echo "== tier1: cargo fmt --check =="
 cargo fmt --all -- --check
